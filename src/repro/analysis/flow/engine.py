@@ -27,7 +27,7 @@ from repro.analysis.baseline import (Finding, apply_baseline, load_baseline,
 from repro.analysis.source import Violation, apply_waivers, parse_project
 from repro.analysis.flow.fingerprint import run_fingerprint_pass
 from repro.analysis.flow.model import ProjectModel
-from repro.analysis.flow.purity import hot_set, run_purity_pass
+from repro.analysis.flow.purity import HYGIENE_CODE, hot_set, run_purity_pass
 from repro.analysis.flow.units import run_units_pass
 
 __all__ = ["FLOW_CODES", "HYGIENE_CODE", "SYNTAX_CODE", "Finding",
@@ -53,16 +53,14 @@ FLOW_CODES: Dict[str, Tuple[str, str]] = {
                "another"),
     "FLW007": ("hot-path nondeterminism",
                "set iteration, id()-keyed lookups or env reads reachable "
-               "from the replay inner loop"),
+               "from an engine loop"),
     "FLW008": ("hot-path allocation",
-               "per-op list/dict/set allocation reachable from the replay "
-               "inner loop"),
+               "per-op list/dict/set allocation reachable from an engine "
+               "loop"),
     "FLW009": ("hot-path stats.add",
-               "per-event stats.add() reachable from the replay inner loop"),
+               "per-event stats.add() reachable from an engine loop"),
 }
 
-#: Hygiene findings (unjustified/stale waivers, stale baseline entries).
-HYGIENE_CODE = "FLW000"
 #: Unparseable-source findings.
 SYNTAX_CODE = "FLW999"
 
@@ -132,7 +130,10 @@ def run_flow(
     for pass_fn, codes in _PASSES:
         if not selected.intersection(codes):
             continue
-        raw.extend(v for v in pass_fn(model) if v.code in selected)
+        # A pass's hygiene findings (a missing anchor) are never deselected:
+        # they mean the selected rules could not be checked.
+        raw.extend(v for v in pass_fn(model)
+                   if v.code in selected or v.code == HYGIENE_CODE)
 
     survivors = apply_waivers(project, raw, selected,
                               unjustified_code=HYGIENE_CODE,

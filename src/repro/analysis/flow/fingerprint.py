@@ -43,6 +43,7 @@ SETTINGS_MODULE = "bench/runner.py"
 FRONTIER_MODULE = "bench/frontier.py"
 TRACES_MODULE = "bench/traces.py"
 SYSTEM_MODULE = "system/system.py"
+COLUMNAR_MODULE = "system/columnar.py"
 
 CONFIG_CLASS = "SystemConfig"
 SETTINGS_CLASS = "BenchSettings"
@@ -55,7 +56,7 @@ SIMULATE_ROOTS = (
     f"{FRONTIER_MODULE}:build_workload",
     f"{SYSTEM_MODULE}:System.__init__",
     f"{SYSTEM_MODULE}:System.run",
-    f"{SYSTEM_MODULE}:System._run_trace",
+    f"{COLUMNAR_MODULE}:replay",
 )
 
 #: Root of the trace-store-keyed computation (what trace_request_key must

@@ -1,14 +1,17 @@
 """FLW007–FLW009: hot-path purity via call-graph reachability.
 
-Replay throughput and bit-identity both depend on what the engine's inner
-loop can reach.  SIM009 approximates "the hot path" with a hand-maintained
-module list; this pass derives it instead: the roots are the call targets
-inside the ``while`` loops of ``System._run_trace`` (the replay engine —
-per-batch work like ``telemetry.on_progress`` and the barrier closures
-included, once-per-run work like ``_collect`` and the drain loop
-excluded), and the hot set is the call-graph closure over those roots.
-When a refactor reroutes the loop through a new helper, the helper joins
-the hot set automatically — no list to forget to update.
+Replay throughput and bit-identity both depend on what the engine loops
+can reach.  This pass derives "the hot path" instead of listing it: the
+roots are the call targets inside the ``while`` loops of the two engine
+loops — the generator loop in ``System.run`` (live workloads) and
+``columnar._replay_loop`` (every compiled trace) — with per-batch work
+like ``telemetry.on_progress`` and the barrier closures included and
+once-per-run work like ``_collect`` and the drain loop excluded.  The hot
+set is the call-graph closure over those roots.  When a refactor reroutes
+a loop through a new helper, the helper joins the hot set automatically —
+no list to forget to update.  When a refactor renames or deletes an anchor
+itself, the pass reports it (``FLW000``) instead of silently shrinking
+the hot set.
 
 On every function of the hot set:
 
@@ -23,8 +26,8 @@ On every function of the hot set:
   fresh ``[]`` per simulated event is the regression the trace-replay
   speedup was built on removing.  Allocations whose only consumer is a
   ``raise`` are exempt (error paths execute once, then the run is dead).
-* **FLW009** — per-event ``stats.add()`` (SIM009's check, on the derived
-  hot set instead of the module list).
+* **FLW009** — per-event ``stats.add()``: the per-op models count
+  through preallocated Stats slots instead.
 
 The ``obs/`` observability layer is carved out by design: its hot-path
 entry points are interval-gated (they return after one comparison except
@@ -39,10 +42,17 @@ from repro.analysis.source import (Violation, dotted_name, is_set_expr,
                                    set_typed_locals, terminal_identifier)
 from repro.analysis.flow.model import FunctionInfo, ProjectModel
 
-__all__ = ["run_purity_pass", "hot_set"]
+__all__ = ["ENGINE_ANCHORS", "hot_set", "missing_anchors", "run_purity_pass"]
 
-#: The replay inner loop whose while-loop call targets root the hot set.
-ENGINE_FUNCTION = "system/system.py:System._run_trace"
+#: The engine loops whose while-loop call targets root the hot set.
+ENGINE_ANCHORS = (
+    "system/system.py:System.run",
+    "system/columnar.py:_replay_loop",
+)
+
+#: simflow's hygiene code: a missing anchor here; unjustified or stale
+#: waivers and stale baseline entries in :mod:`.engine`.
+HYGIENE_CODE = "FLW000"
 
 #: Module prefixes exempt from purity findings (interval-gated
 #: observability; see the module docstring).
@@ -54,20 +64,37 @@ def _is_obs(rel: str) -> bool:
         f"/{prefix}" in f"/{rel}" for prefix in OBS_EXEMPT)
 
 
+def _anchor_module(anchor: str) -> str:
+    return anchor.split(":", 1)[0]
+
+
+def missing_anchors(model: ProjectModel) -> List[str]:
+    """Engine anchors that do not resolve in a simulator tree.
+
+    A tree holding none of the anchor modules is not the simulator (a
+    synthetic fixture, another project) and the pass does not apply to it.
+    Once any anchor module is present, every anchor must resolve.
+    """
+    if not any(model.project.find(_anchor_module(a)) for a in ENGINE_ANCHORS):
+        return []
+    return [a for a in ENGINE_ANCHORS if model.find_function(a) is None]
+
+
 def hot_set(model: ProjectModel) -> Set[str]:
-    """Qualnames reachable from the replay loop's call targets.
+    """Qualnames reachable from the engine loops' call targets.
 
     Reachability does not propagate *through* ``obs/``: its hot-path entry
     points are interval-gated, so whatever they call runs per-interval,
     not per-op (the carve-out would be meaningless if the closure walked
     straight through it into the sinks it guards).
     """
-    engine = model.find_function(ENGINE_FUNCTION)
-    if engine is None:
-        return set()
+    roots: Set[str] = set()
+    for anchor in ENGINE_ANCHORS:
+        engine = model.find_function(anchor)
+        if engine is not None:
+            roots.update(model.loop_call_targets(engine))
     seen: Set[str] = set()
-    queue = [r for r in sorted(model.loop_call_targets(engine))
-             if r in model.functions]
+    queue = [r for r in sorted(roots) if r in model.functions]
     while queue:
         current = queue.pop()
         if current in seen:
@@ -81,6 +108,16 @@ def hot_set(model: ProjectModel) -> Set[str]:
 
 def run_purity_pass(model: ProjectModel) -> List[Violation]:
     findings: List[Violation] = []
+    present = [m for m in (model.project.find(_anchor_module(a))
+                           for a in ENGINE_ANCHORS) if m is not None]
+    for anchor in missing_anchors(model):
+        # Report in the anchor's own module, or the first one present.
+        module = model.project.find(_anchor_module(anchor)) or present[0]
+        findings.append(Violation(
+            code=HYGIENE_CODE, path=str(module.path), line=1, col=0,
+            message=(f"hot-path anchor `{anchor}` not found — the purity "
+                     f"pass would silently skip that engine loop; update "
+                     f"ENGINE_ANCHORS in repro.analysis.flow.purity")))
     for qualname in sorted(hot_set(model)):
         info = model.functions[qualname]
         if _is_obs(info.module.rel):
@@ -186,7 +223,7 @@ def _check_allocation(info: FunctionInfo, node: ast.AST) -> Iterator[Violation]:
 
 
 # ----------------------------------------------------------------------
-# FLW009: per-event stats.add (reachability-derived SIM009)
+# FLW009: per-event stats.add
 # ----------------------------------------------------------------------
 
 
@@ -199,9 +236,9 @@ def _check_stats_add(info: FunctionInfo, node: ast.AST) -> Iterator[Violation]:
     if terminal_identifier(func.value) != "stats":
         return
     yield _violation(info, node, "FLW009",
-                     "per-event `stats.add()` is reachable from the replay "
-                     "inner loop — bind a Stats slot once and increment it "
-                     "in place")
+                     "per-event `stats.add()` is reachable from an engine "
+                     "loop — bind a Stats slot once and increment it in "
+                     "place")
 
 
 def _violation(info: FunctionInfo, node: ast.AST, code: str,

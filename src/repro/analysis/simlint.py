@@ -508,53 +508,6 @@ class StatsKeyRegistryRule(Rule):
         return declared
 
 
-class HotLoopStatsRule(Rule):
-    """SIM009: no per-event ``stats.add()`` in engine hot-loop modules."""
-
-    code = "SIM009"
-    title = "stats.add in an engine hot loop"
-    rationale = ("The per-operation modules keep counters in preallocated "
-                 "Stats slots (`self._slots[SLOT_*] += x`), the batched "
-                 "fast path the trace-replay engine's throughput depends "
-                 "on; a `stats.add()` call there pays a dict lookup plus a "
-                 "method call per simulated event and silently undoes the "
-                 "optimization.  One-shot summary writes (`stats.set` at "
-                 "end of run) are fine.")
-
-    node_types = (ast.Call,)
-
-    #: Modules on the per-operation path of the run engine.  Everything
-    #: else (workloads, bench harness, verification) may use stats.add
-    #: freely — it runs once per experiment, not once per simulated op.
-    #: The flow layer's FLW009 re-derives this list from call-graph
-    #: reachability; this lexical rule stays as the fast first line.
-    HOT_MODULES = (
-        "cache/hierarchy.py",
-        "cpu/core.py",
-        "core/executor.py",
-        "core/pmu.py",
-        "core/locality_monitor.py",
-        "core/pim_directory.py",
-        "mem/hmc.py",
-        "system/system.py",
-    )
-
-    def applies(self, module: Module) -> bool:
-        return module.rel.endswith(self.HOT_MODULES)
-
-    def visit(self, module: Module, node: ast.AST) -> Iterator[LintViolation]:
-        func = node.func
-        if not isinstance(func, ast.Attribute) or func.attr != "add":
-            return
-        if _terminal_identifier(func.value) != "stats":
-            return
-        yield self._violation(
-            module, node,
-            "per-event `stats.add()` in an engine hot-loop module — "
-            "bind a slot once (`self._slots[SLOT_*]`) and increment it "
-            "in place")
-
-
 #: The rule registry, keyed by code.
 RULES: Dict[str, Rule] = {
     rule.code: rule
@@ -566,7 +519,6 @@ RULES: Dict[str, Rule] = {
         RawUnitLiteralRule(),
         IntrinsicRegistryRule(),
         StatsKeyRegistryRule(),
-        HotLoopStatsRule(),
     )
 }
 

@@ -253,10 +253,10 @@ def _apply_plan_cache_limit(limit: Optional[int]) -> None:
 def _plan_cache_delta(result: RunResult) -> Dict[str, int]:
     """The plan-cache hit/miss/eviction delta a replay recorded.
 
-    Zeroes for generator runs and scalar replays — the transient
-    ``_plan_cache`` metadata entry only exists when the columnar engine
-    ran (it is excluded from ``to_dict()``, so it must be read off the
-    live result before serialization).
+    Zeroes for generator runs — the transient ``_plan_cache`` metadata
+    entry only exists when a trace replayed (it is excluded from
+    ``to_dict()``, so it must be read off the live result before
+    serialization).
     """
     delta = result.metadata.get("_plan_cache")
     if not isinstance(delta, dict):

@@ -68,17 +68,15 @@ def engine_ops_per_second(
     rounds: int = 3,
     n_ops: int = 4000,
     trace: Optional[CompiledTrace] = None,
-    engine: str = "auto",
 ) -> Dict[str, float]:
     """Measure engine replay throughput under the locality-aware policy.
 
     Returns ``{"ops_per_second", "ms_per_run", "instructions", "rounds"}``
     where ``ops_per_second`` is simulated instructions retired per
-    wall-second over the best of ``rounds`` replays.  ``engine`` picks the
-    replay engine (``"auto"``/``"scalar"``/``"columnar"``) so regressions
-    can be localized; the minimum-of-rounds protocol keeps the columnar
-    plan compilation (a one-time cost, cached across rounds) out of the
-    reported figure, matching how sweeps amortize it.
+    wall-second over the best of ``rounds`` replays.  The minimum-of-rounds
+    protocol keeps the columnar plan compilation (a one-time cost, cached
+    across rounds) out of the reported figure, matching how sweeps
+    amortize it.
     """
     if trace is None:
         trace = capture_engine_trace(n_ops)
@@ -87,7 +85,7 @@ def engine_ops_per_second(
     for _ in range(rounds):
         system = System(tiny_config(), DispatchPolicy.LOCALITY_AWARE)
         t0 = time.perf_counter()  # simlint: ignore[SIM001] -- measures the simulator's own host cost; never feeds simulated time
-        result = system.run(trace, engine=engine)
+        result = system.run(trace)
         elapsed = time.perf_counter() - t0  # simlint: ignore[SIM001] -- measures the simulator's own host cost; never feeds simulated time
         instructions = result.instructions
         if elapsed < best:

@@ -34,7 +34,6 @@ stems with a request-fingerprint prefix so concurrent sweeps of the same
 
 import os
 import time
-import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
@@ -83,19 +82,6 @@ class BenchSettings:
 def current_settings() -> BenchSettings:
     """The settings in effect right now (re-reads the environment)."""
     return BenchSettings()
-
-
-def __getattr__(name: str):
-    # The import-time snapshot predates current_settings() and could go
-    # stale the moment REPRO_BENCH_* changed; resolve it lazily and warn.
-    if name == "SETTINGS":
-        warnings.warn(
-            "repro.bench.runner.SETTINGS is deprecated: it was an "
-            "import-time snapshot that ignored later environment changes; "
-            "call current_settings() instead",
-            DeprecationWarning, stacklevel=2)
-        return current_settings()
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 # ----------------------------------------------------------------------

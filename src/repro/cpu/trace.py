@@ -22,7 +22,7 @@ import hashlib
 import json
 from array import array
 from collections import defaultdict, deque
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 KIND_COMPUTE = 0
 KIND_LOAD = 1
@@ -175,8 +175,10 @@ class CompiledTrace:
     generator-driven run bit-identically: the workload name and footprint,
     the allocated regions (for warm-start), barrier groups, the page size
     the regions were laid out with, and the exact ops cap the capture ran
-    under.  ``fingerprint`` identifies the capture inputs (workload class,
-    params, seed, thread count, ops cap) for the trace cache.
+    under.  ``fingerprint`` digests the captured content itself (streams,
+    regions, barrier groups, op table) together with the capture inputs,
+    so two different traces never share one — the columnar plan cache
+    keys on it.
     """
 
     __slots__ = ("workload_name", "n_threads", "max_ops_per_thread",
@@ -258,10 +260,20 @@ class CompiledTrace:
         )
 
 
-def trace_fingerprint(key: Dict) -> str:
-    """Stable digest over a capture's identifying inputs."""
+def trace_fingerprint(key: Dict, streams: Sequence[Sequence[array]] = ()) -> str:
+    """Stable digest over a capture's identifying inputs.
+
+    ``streams`` (per-column lists of per-thread arrays) are digested
+    byte-for-byte after ``key``, each array prefixed by its length so
+    thread boundaries cannot shift between two different captures.
+    """
     payload = json.dumps(key, sort_keys=True, default=repr)
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+    digest = hashlib.sha256(payload.encode("utf-8"))
+    for column in streams:
+        for values in column:
+            digest.update(len(values).to_bytes(8, "little"))
+            digest.update(values)
+    return digest.hexdigest()
 
 
 def capture_trace(workload, n_threads: int,
@@ -282,8 +294,9 @@ def capture_trace(workload, n_threads: int,
 
     ``page_size`` must match the config the trace will replay under: the
     workload lays out its regions in a fresh address space with this page
-    size.  ``key`` (optional) identifies the capture inputs (workload
-    class, params, seed) for the trace cache fingerprint.
+    size.  ``key`` (optional) names the capture inputs (workload class,
+    params, seed); the fingerprint digests it together with everything
+    the capture produced, so it is content-derived with or without a key.
     """
     # Deferred import: workloads.base imports nothing from here, but the
     # AddressSpace lives next to the page table the addresses feed.
@@ -399,14 +412,19 @@ def capture_trace(workload, n_threads: int,
         raise TraceError(
             "barrier deadlock: threads still parked when the capture drained")
 
-    base_key = dict(key) if key is not None else {"workload": workload.name}
-    base_key.update({
+    regions = [(region.name, region.base, region.size)
+               for region in space.regions.values()]
+    base_key = {
+        "key": key,
+        "workload": workload.name,
         "n_threads": n_threads,
         "max_ops_per_thread": max_ops_per_thread,
         "page_size": page_size,
-    })
-    regions = [(region.name, region.base, region.size)
-               for region in space.regions.values()]
+        "footprint": space.footprint,
+        "regions": regions,
+        "barrier_groups": groups,
+        "op_mnemonics": op_mnemonics,
+    }
     return CompiledTrace(
         workload_name=workload.name,
         n_threads=n_threads,
@@ -417,5 +435,5 @@ def capture_trace(workload, n_threads: int,
         barrier_groups=groups,
         op_mnemonics=op_mnemonics,
         kinds=kinds, a0=a0, a1=a1, a2=a2, a3=a3,
-        fingerprint=trace_fingerprint(base_key),
+        fingerprint=trace_fingerprint(base_key, (kinds, a0, a1, a2, a3)),
     )

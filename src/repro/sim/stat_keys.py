@@ -131,8 +131,8 @@ def is_declared(key: str) -> bool:
 # never see the split.  Gauges are excluded: they are written once through
 # ``Stats.set`` at collection time.
 #
-# The ``SIM009`` lint rule flags literal ``stats.add`` calls with slot
-# counters inside the hot modules, keeping the fast path load-bearing.
+# The simflow rule ``FLW009`` flags any ``stats.add`` call reachable from
+# the engine loops, keeping the fast path load-bearing.
 
 #: Counter keys batched through the slot fast path, in slot-index order.
 SLOT_KEYS: Tuple[str, ...] = (

@@ -1,13 +1,13 @@
-"""Columnar trace replay: plan-compiled, vectorized where state allows.
+"""Columnar trace replay: the engine every :class:`CompiledTrace` runs on.
 
-Scalar replay (:meth:`System._run_trace`) walks a :class:`CompiledTrace`
-op-by-op through Python dispatch, re-deriving per-op facts — TLB outcomes,
-physical addresses, PEI operand decodes, per-op compute time deltas — that
-are *pure functions of the trace and the machine geometry*.  This module
-compiles those facts once into a :class:`ColumnPlan` and replays through
-kind-specialized span loops, leaving only genuinely contention-ordered
-state (L3/cache hierarchy, locality monitor, links, DRAM banks, PCUs, PIM
-directory) to the existing per-op models.
+Walking a trace op-by-op through Python dispatch would re-derive per-op
+facts — TLB outcomes, physical addresses, PEI operand decodes, per-op
+compute time deltas — that are *pure functions of the trace and the
+machine geometry*.  This module compiles those facts once into a
+:class:`ColumnPlan` and replays through kind-specialized span loops,
+leaving only genuinely contention-ordered state (L3/cache hierarchy,
+locality monitor, links, DRAM banks, PCUs, PIM directory) to the existing
+per-op models.
 
 What the plan precomputes, and why each piece is deterministic:
 
@@ -30,36 +30,38 @@ What the plan precomputes, and why each piece is deterministic:
   bools and chain ids, unboxed once instead of per replay op.
 * **Locality-monitor partial tags** — the XOR-fold is a pure function of
   the block number; the plan folds every block of the trace in one
-  vectorized pass and installs the results into the monitor's tag memo.
+  vectorized pass, and monitor-using policies install the results into
+  the monitor's tag memo.  The plan is therefore policy-independent: one
+  plan per (trace, config) serves every dispatch policy.
 * **Warm-start template** — on a fresh machine the warm sweep's final
   L3/monitor/page-table state is a pure function of the regions and the
   geometry; it is captured once and applied by copy on later fresh runs
-  (LRU replacement only — other policies re-run the sweep).
+  (LRU replacement only — other policies re-run the sweep).  The monitor
+  part is captured the first time a monitor-using policy warms on the plan.
 
 What stays per-op scalar: every touch of cross-thread shared state.  Loads
 and stores still call ``hierarchy.access`` (coherence, bank contention,
 monitor mirroring); PEIs still run the full Fig. 4/5 sequence through
 :meth:`PeiExecutor._execute_pei` — only their translation is precomputed.
 
-Bit-identity with the scalar and generator paths is the bar
-(``tests/system/test_trace_replay.py``); anything the plan cannot prove
-deterministic (cold machine reuse, addresses outside the captured regions,
-``warm_start=False``, missing numpy) makes :func:`replay` return None and
-the caller falls back to scalar replay.
+Bit-identity with the generator loop in :meth:`System.run` is the bar
+(``tests/system/test_trace_replay.py``).  Inputs the plan cannot prove
+deterministic — a reused machine, ``warm_start=False``, addresses outside
+the captured regions — raise :class:`TraceError`; the live workload runs
+through the generator loop in every one of those cases.
 
-This module is imported lazily by ``System._run_trace`` and tolerates a
-missing numpy, so numpy-free consumers (repro.analysis, repro.verify)
+This module needs numpy and is imported lazily by trace replay in
+``System.run``, so numpy-free consumers (repro.analysis, repro.verify)
 never pay for it — enforced by the CI import-hygiene check.
 """
 
+from __future__ import annotations
+
 import heapq
 from collections import OrderedDict, defaultdict
-from typing import Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
-try:
-    import numpy as np
-except ImportError:  # pragma: no cover - exercised via the scalar fallback
-    np = None
+import numpy as np
 
 from repro.cpu.trace import (
     KIND_BARRIER,
@@ -68,17 +70,22 @@ from repro.cpu.trace import (
     KIND_LOAD,
     KIND_PEI,
     KIND_STORE,
+    CompiledTrace,
+    TraceError,
 )
 from repro.sim.stat_keys import SLOT_CORE_LOADS, SLOT_CORE_STORES
 from repro.vm.page_table import PageTable
 
+if TYPE_CHECKING:
+    from repro.system.system import System
+
 __all__ = ["ColumnPlan", "plan_cache_counters", "plan_cache_info",
            "replay", "set_plan_cache_limit"]
 
-#: Bounded plan memo keyed by (trace fingerprint, config fingerprint,
-#: monitor use).  Plans are immutable after build except for the lazily
-#: captured warm template; each process owns its own cache.
-_PLAN_CACHE: "OrderedDict[Tuple, Optional[ColumnPlan]]" = OrderedDict()
+#: Bounded plan memo keyed by (trace fingerprint, config fingerprint).
+#: Plans are immutable after build except for the lazily captured warm
+#: template; each process owns its own cache.
+_PLAN_CACHE: "OrderedDict[Tuple[str, str], ColumnPlan]" = OrderedDict()
 _PLAN_CACHE_LIMIT = 8
 
 #: Lifetime hit/miss/eviction counters for this process's plan cache.
@@ -119,17 +126,17 @@ class ColumnPlan:
         self.p3 = p3
         self.p4 = p4
         #: Per thread: the TLB's final (vpage, frame) LRU order + totals,
-        #: restored after replay so machine state matches scalar replay.
+        #: restored after replay so machine state matches a generator run.
         self.final_tlb = final_tlb
         self.tlb_hits = tlb_hits
         self.tlb_misses = tlb_misses
         #: The deterministic vpage -> frame mapping warm start produces.
         self.expected_mapping = expected_mapping
-        #: (block, partial_tag) pairs for the monitor's tag memo (None
-        #: when the policy never consults the monitor).
+        #: (block, partial_tag) pairs for the monitor's tag memo.
         self.tag_items = tag_items
         #: Captured lazily after the first warm sweep on a fresh machine:
-        #: (l3 set copies, l3 eviction count, monitor set copies or None).
+        #: (l3 set copies, l3 eviction count, monitor set copies or None
+        #: until a monitor-using policy has warmed on this plan).
         self.warm_template = None
 
 
@@ -164,38 +171,42 @@ def set_plan_cache_limit(limit: int) -> int:
 # ----------------------------------------------------------------------
 
 
-def _expected_mapping(trace, config) -> Optional[Dict[int, int]]:
+def _unreplayable(reason: str) -> TraceError:
+    return TraceError(f"columnar replay cannot run this trace: {reason}; "
+                      f"run the live workload with System.run(workload) "
+                      f"instead")
+
+
+def _expected_mapping(trace: CompiledTrace, config) -> Dict[int, int]:
     """The vpage -> frame map the warm sweep deterministically produces.
 
     Mirrors ``_warm_caches``'s touch order exactly: regions in layout
     order, one translate per page.  Frames come from the page table's
     multiplicative permutation over the fault sequence number, vectorized
     here (uint64 multiply wraps mod 2**64 exactly like Python's masked
-    product).  Returns None when the layout breaks an assumption (an
-    unaligned region base) — the caller falls back to scalar replay.
+    product).  Raises :class:`TraceError` when the layout breaks an
+    assumption (an unaligned region base, more pages than frames).
     """
     page_size = trace.page_size
     page_bits = page_size.bit_length() - 1
     vpages: List[int] = []
-    for _name, base, size in trace.regions:
+    for name, base, size in trace.regions:
         if base & (page_size - 1):
-            return None
+            raise _unreplayable(f"region {name!r} is not page-aligned")
         first = base >> page_bits
         vpages.extend(range(first, first + (size + page_size - 1) // page_size))
     n_frames = config.physical_frames
     if len(vpages) > n_frames:
-        # The warm sweep would raise MemoryError; let scalar replay do so.
-        return None
+        raise _unreplayable(f"its regions span {len(vpages)} pages, the "
+                            f"machine has {n_frames} frames")
     seq = np.arange(len(vpages), dtype=np.uint64)
     frames = (seq * np.uint64(PageTable._MULTIPLIER)) & np.uint64(n_frames - 1)
     return dict(zip(vpages, frames.tolist()))
 
 
-def _build_plan(trace, config, op_table, machine,
-                uses_monitor: bool) -> Optional["ColumnPlan"]:
+def _build_plan(trace: CompiledTrace, config, op_table,
+                machine) -> ColumnPlan:
     mapping = _expected_mapping(trace, config)
-    if mapping is None:
-        return None
     page_bits = trace.page_size.bit_length() - 1
     page_mask = trace.page_size - 1
     block_bits = machine.hierarchy.block_bits
@@ -283,9 +294,10 @@ def _build_plan(trace, config, op_table, machine,
                 misses += 1
                 frame = mapping.get(vpage)
                 if frame is None:
-                    # Address outside the captured regions: first-touch
-                    # order would depend on thread interleaving.
-                    return None
+                    # First-touch order would depend on thread interleaving.
+                    raise _unreplayable(
+                        f"thread {tid} touches address {vaddr:#x} outside "
+                        f"the captured regions")
                 cache[vpage] = frame
                 if len(cache) > tlb_entries:
                     cache.popitem(last=False)
@@ -305,36 +317,32 @@ def _build_plan(trace, config, op_table, machine,
         tlb_hits.append(hits)
         tlb_misses.append(misses)
 
-    tag_items = None
-    if uses_monitor and blocks:
-        # Vectorized XOR-fold of every block's partial tag, installed into
-        # the monitor's tag memo at attach time.
-        mon = machine.monitor
-        blk = np.fromiter(blocks, dtype=np.int64, count=len(blocks))
-        value = blk >> mon._set_bits
-        tags = np.zeros_like(blk)
-        tag_mask = np.int64(mon._tag_mask)
-        while value.any():
-            tags ^= value & tag_mask
-            value >>= np.int64(mon.partial_tag_bits)
-        tag_items = list(zip(blk.tolist(), tags.tolist()))
+    # Vectorized XOR-fold of every block's partial tag, installed into the
+    # monitor's tag memo by monitor-using policies.
+    mon = machine.monitor
+    blk = np.fromiter(blocks, dtype=np.int64, count=len(blocks))
+    value = blk >> mon._set_bits
+    tags = np.zeros_like(blk)
+    tag_mask = np.int64(mon._tag_mask)
+    while value.any():
+        tags ^= value & tag_mask
+        value >>= np.int64(mon.partial_tag_bits)
+    tag_items = list(zip(blk.tolist(), tags.tolist()))
 
     return ColumnPlan(lengths, span_kinds_all, span_ends_all,
                       p0_all, p1_all, p2_all, p3_all, p4_all,
                       final_tlb, tlb_hits, tlb_misses, mapping, tag_items)
 
 
-def _plan_for(system, trace, op_table) -> Optional[ColumnPlan]:
-    uses_monitor = system.policy.uses_monitor
-    key = (trace.fingerprint, system.config.fingerprint(), uses_monitor)
+def _plan_for(system: System, trace: CompiledTrace, op_table) -> ColumnPlan:
+    key = (trace.fingerprint, system.config.fingerprint())
     if key in _PLAN_CACHE:
         _PLAN_CACHE.move_to_end(key)
         _PLAN_STATS["hits"] += 1
         return _PLAN_CACHE[key]
     _PLAN_STATS["misses"] += 1
-    plan = _build_plan(trace, system.config, op_table, system.machine,
-                       uses_monitor)
-    _PLAN_CACHE[key] = plan  # None memoized too: don't retry a bad layout
+    plan = _build_plan(trace, system.config, op_table, system.machine)
+    _PLAN_CACHE[key] = plan
     while len(_PLAN_CACHE) > _PLAN_CACHE_LIMIT:
         _PLAN_CACHE.popitem(last=False)
         _PLAN_STATS["evictions"] += 1
@@ -346,7 +354,7 @@ def _plan_for(system, trace, op_table) -> Optional[ColumnPlan]:
 # ----------------------------------------------------------------------
 
 
-def _warm(system, trace, plan) -> None:
+def _warm(system: System, trace: CompiledTrace, plan: ColumnPlan) -> None:
     """Warm caches via the captured template when provable, else sweep.
 
     The template replays the warm sweep's *final* state (L3 sets, L3
@@ -354,6 +362,8 @@ def _warm(system, trace, plan) -> None:
     copy.  It is only captured and applied on an untouched machine under
     pure-LRU replacement, where the sweep's effects are a deterministic
     function of (regions, geometry) — anything else runs the normal sweep.
+    The L3 part is policy-independent; the monitor part is filled by the
+    first monitor-using policy that sweeps on this plan.
     """
     machine = system.machine
     spans = [(base, base + size) for _name, base, size in trace.regions]
@@ -365,12 +375,13 @@ def _warm(system, trace, plan) -> None:
              and not any(l3.sets)
              and not (uses_monitor and any(mon._sets)))
     template = plan.warm_template
-    if fresh and template is not None:
+    if (fresh and template is not None
+            and (template[2] is not None or not uses_monitor)):
         l3_sets, l3_evictions, mon_sets = template
         for dst, src in zip(l3.sets, l3_sets):
             dst.update(src)
         l3.evictions += l3_evictions
-        if mon_sets is not None:
+        if uses_monitor:
             for dst, src in zip(mon._sets, mon_sets):
                 dst.update(src)
         page_table = machine.page_table
@@ -379,13 +390,13 @@ def _warm(system, trace, plan) -> None:
         page_table.page_faults += len(plan.expected_mapping)
         return
     system._warm_caches(spans)
-    if fresh and template is None:
+    if fresh:
+        if uses_monitor:
+            mon_sets = [line_set.copy() for line_set in mon._sets]
+        else:
+            mon_sets = template[2] if template is not None else None
         plan.warm_template = (
-            [line_set.copy() for line_set in l3.sets],
-            l3.evictions,
-            ([line_set.copy() for line_set in mon._sets]
-             if uses_monitor else None),
-        )
+            [line_set.copy() for line_set in l3.sets], l3.evictions, mon_sets)
 
 
 # ----------------------------------------------------------------------
@@ -393,37 +404,35 @@ def _warm(system, trace, plan) -> None:
 # ----------------------------------------------------------------------
 
 
-def replay(system, trace, op_table, n_threads: int, batch_window: float,
-           warm_start: bool, effective_cap: Optional[int]):
-    """Columnar replay of ``trace``; None when the plan cannot apply.
+def replay(system: System, trace: CompiledTrace, op_table, n_threads: int,
+           batch_window: float, warm_start: bool,
+           effective_cap: Optional[int]):
+    """Columnar replay of ``trace`` on ``system``; returns its RunResult.
 
     The caller (``System._run_trace``) has already validated thread count,
-    page size and ops cap.  Preconditions checked here — and the scalar
-    fallback they trigger — keep machine state bit-identical to scalar
-    replay in every case the plan cannot prove deterministic.
+    page size and ops cap.  The preconditions checked here are the ones
+    the plan needs to be bit-identical to a generator run; each failure
+    raises :class:`TraceError`.
     """
-    if np is None or not warm_start:
-        return None
+    if not warm_start:
+        raise _unreplayable("the plan assumes warm_start=True")
     machine = system.machine
     page_table = machine.page_table
-    # The plan's TLB/paddr columns assume a cold page table and cold TLBs
-    # (a reused System replays through the scalar path instead).
-    if page_table._mapping or page_table._next_sequence:
-        return None
+    # The plan's TLB/paddr columns assume a cold page table and cold TLBs.
     cores = machine.cores
-    if any(cores[tid].tlb._cache for tid in range(n_threads)):
-        return None
+    if (page_table._mapping or page_table._next_sequence
+            or any(cores[tid].tlb._cache for tid in range(n_threads))):
+        raise _unreplayable("the System has run before (its page table or "
+                            "TLBs are warm); replay needs a fresh System")
     plan = _plan_for(system, trace, op_table)
-    if plan is None:
-        return None
 
     _warm(system, trace, plan)
-    if plan.tag_items is not None:
+    if system.policy.uses_monitor:
         machine.monitor._tags.update(plan.tag_items)
 
     _replay_loop(system, trace, plan, n_threads, batch_window)
 
-    # Restore the live TLBs to the state scalar replay leaves behind.
+    # Restore the live TLBs to the state a generator run leaves behind.
     for tid in range(n_threads):
         tlb = cores[tid].tlb
         cache = tlb._cache
@@ -436,16 +445,16 @@ def replay(system, trace, op_table, n_threads: int, batch_window: float,
                            n_threads, effective_cap)
 
 
-def _replay_loop(system, trace, plan, n_threads: int,
-                 batch_window: float) -> None:
-    """The engine loop: scalar ``_run_trace`` with span-specialized bodies.
+def _replay_loop(system: System, trace: CompiledTrace, plan: ColumnPlan,
+                 n_threads: int, batch_window: float) -> None:
+    """The engine loop: ``System.run``'s generator loop over plan spans.
 
     Scheduling (laggard-first heap, horizon batching, barrier park/release,
     telemetry sampling points) is replicated exactly; the per-op bodies of
     load/store/compute spans are inlined over the plan columns with the
     core's hot state (time, instruction count, MLP window) held in locals.
-    Every ``core.time`` addition happens in the scalar order with the
-    scalar values, so timing rounds bit-identically.
+    Every ``core.time`` addition happens in the generator loop's order with
+    its values, so timing rounds bit-identically.
     """
     machine = system.machine
     cores = machine.cores

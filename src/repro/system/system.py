@@ -10,13 +10,16 @@ only has to keep threads roughly synchronized.
 Two stream sources drive the same engine semantics:
 
 * **generators** — the workload's functional algorithm runs as the stream
-  is consumed (the original mode); and
+  is consumed.  This loop (in :meth:`System.run`) handles every machine
+  state — fresh or reused, warm or cold start — and is the reference the
+  replay-equivalence suites compare against; and
 * a **CompiledTrace** — the streams were captured once by
-  :func:`repro.cpu.trace.capture_trace` and replay here through an
-  index-based inner loop over compact arrays: no generator resumption, no
-  per-op object construction, locals-bound dispatch.  Replayed runs are
+  :func:`repro.cpu.trace.capture_trace` and replay through the columnar
+  engine (:mod:`repro.system.columnar`), which precompiles the trace into
+  per-op columns on a fresh, warm-started machine.  Replayed runs are
   bit-identical to generator-driven runs because operation streams never
-  depend on the execution mode.
+  depend on the execution mode; a trace the columnar engine cannot replay
+  raises :class:`~repro.cpu.trace.TraceError` instead of switching paths.
 """
 
 import heapq
@@ -105,14 +108,17 @@ class System:
         n_threads: Optional[int] = None,
         batch_window: float = 256.0,
         warm_start: bool = True,
-        engine: str = "auto",
     ) -> RunResult:
         """Simulate ``workload``; returns the collected metrics.
 
         ``workload`` may be a live :class:`Workload` (its generators drive
         the engine and the functional algorithm executes as a side effect)
         or a :class:`CompiledTrace` captured earlier, which replays through
-        the array-based fast path with identical results.
+        the columnar engine (:mod:`repro.system.columnar`) with identical
+        results.  Trace replay needs a fresh System and ``warm_start=True``;
+        a reused machine or a cold start raises :class:`TraceError` — run
+        the live workload instead, which the generator loop below handles
+        in every machine state.
 
         ``max_ops_per_thread`` caps each thread's operation count — the
         analogue of the paper's fixed two-billion-instruction simulation
@@ -124,22 +130,10 @@ class System:
         data leaves the last-level cache and the locality monitor populated
         with the most recently initialized blocks.
 
-        ``engine`` selects the trace-replay engine: ``"auto"`` tries the
-        columnar plan-compiled engine (:mod:`repro.system.columnar`) and
-        falls back to the scalar loop whenever the plan cannot prove
-        bit-identity; ``"scalar"`` forces the scalar loop; ``"columnar"``
-        forces the columnar engine and raises :class:`TraceError` when it
-        is unavailable.  Generator-driven runs always use the generator
-        engine; ``engine`` only shapes how a :class:`CompiledTrace`
-        replays, never the results.
         """
-        if engine not in ("auto", "scalar", "columnar"):
-            raise ValueError(
-                f"unknown replay engine {engine!r}; "
-                f"choose 'auto', 'scalar' or 'columnar'")
         if isinstance(workload, CompiledTrace):
             return self._run_trace(workload, max_ops_per_thread, n_threads,
-                                   batch_window, warm_start, engine)
+                                   batch_window, warm_start)
         machine = self.machine
         space = AddressSpace(page_size=self.config.page_size)
         workload.prepare(space)
@@ -271,16 +265,14 @@ class System:
         n_threads: Optional[int],
         batch_window: float,
         warm_start: bool,
-        engine: str = "auto",
     ) -> RunResult:
-        """Replay a compiled trace through the array-based fast path.
+        """Replay a compiled trace through the columnar engine.
 
         The trace pins the stream-shaping inputs (thread count, ops cap,
         page size); mismatching replay arguments are rejected rather than
         silently producing a run that a generator-driven System would never
         have produced.
         """
-        machine = self.machine
         config = self.config
         if trace.page_size != config.page_size:
             raise TraceError(
@@ -308,150 +300,32 @@ class System:
             raise TraceError(
                 f"trace references unknown PIM op {exc.args[0]!r}") from exc
         # The cap that actually shaped the stream: the trace was cut at
-        # capture time, so a None argument inherits the captured cap.  Both
-        # engines and the generator path record this effective value in the
-        # RunResult metadata (a generator run producing the same stream must
-        # have been called with exactly this cap).
+        # capture time, so a None argument inherits the captured cap.  The
+        # generator path records the same value in the RunResult metadata
+        # (a generator run producing the same stream must have been called
+        # with exactly this cap).
         effective_cap = (max_ops_per_thread if max_ops_per_thread is not None
                          else trace.max_ops_per_thread)
-        if engine != "scalar":
-            # Deferred import: repro.system.columnar needs numpy, and the
-            # numpy-free consumers (repro.analysis, repro.verify) import
-            # System — the columnar engine must stay off their import path.
+        # Deferred import: repro.system.columnar needs numpy, and the
+        # numpy-free consumers (repro.analysis, repro.verify) import
+        # System — the columnar engine must stay off their import path.
+        try:
             from repro.system import columnar
-            plan_before = columnar.plan_cache_counters()
-            result = columnar.replay(self, trace, op_table, n_threads,
-                                     batch_window, warm_start, effective_cap)
-            if result is not None:
-                # Transient (underscore-prefixed, dropped by to_dict):
-                # whether this run's ColumnPlan was cached depends on what
-                # the process replayed before, so the delta is scheduling
-                # observability, never part of the result proper.
-                plan_after = columnar.plan_cache_counters()
-                result.metadata["_plan_cache"] = {
-                    key: plan_after[key] - plan_before[key]
-                    for key in plan_after}
-                return result
-            if engine == "columnar":
-                raise TraceError(
-                    "columnar replay unavailable for this trace/machine "
-                    "state (requires numpy, warm_start=True, a cold page "
-                    "table and TLBs, and page-aligned regions covering "
-                    "every traced address)")
-        if warm_start:
-            self._warm_caches(
-                [(base, base + size) for _, base, size in trace.regions])
-        groups = trace.barrier_groups
-
-        cores = machine.cores
-        executor = machine.executor
-        # Unbox the compact arrays once: list indexing hands back existing
-        # int objects, where array('q') indexing would box a fresh int for
-        # every operand read in the loop below.
-        kinds_by_tid = [k.tolist() for k in trace.kinds]
-        a0_by_tid = [a.tolist() for a in trace.a0]
-        a1_by_tid = [a.tolist() for a in trace.a1]
-        a2_by_tid = [a.tolist() for a in trace.a2]
-        a3_by_tid = [a.tolist() for a in trace.a3]
-        lengths = [len(k) for k in kinds_by_tid]
-        indices = [0] * n_threads
-        group_active: Dict[int, int] = defaultdict(int)
-        for group in groups:
-            group_active[group] += 1
-        barrier_arrived: Dict[int, List[int]] = defaultdict(list)
-        parked_count = 0
-
-        heap = [(cores[tid].time, tid) for tid in range(n_threads)]
-        heapq.heapify(heap)
-        telemetry = self.telemetry
-
-        def release_group(group: int) -> None:
-            nonlocal parked_count
-            waiting = barrier_arrived[group]
-            resume = max(cores[tid].time for tid in waiting)
-            for tid in waiting:
-                cores[tid].time = resume
-                heapq.heappush(heap, (resume, tid))
-            parked_count -= len(waiting)
-            waiting.clear()
-
-        def finish_thread(tid: int) -> None:
-            group = groups[tid]
-            group_active[group] -= 1
-            waiting = barrier_arrived[group]
-            if waiting and len(waiting) == group_active[group]:
-                release_group(group)
-
-        heappop, heappush = heapq.heappop, heapq.heappush
-        execute = (executor._execute if not executor.obs.enabled
-                   else executor.execute)
-        fence = executor.fence
-        while heap:
-            _, tid = heappop(heap)
-            core = cores[tid]
-            do_load, do_store = core.do_load, core.do_store
-            do_compute = core.do_compute
-            kinds = kinds_by_tid[tid]
-            a0, a1 = a0_by_tid[tid], a1_by_tid[tid]
-            a2, a3 = a2_by_tid[tid], a3_by_tid[tid]
-            i = indices[tid]
-            end = lengths[tid]
-            horizon = heap[0][0] + batch_window if heap else float("inf")
-            parked = False
-            finished = False
-            while True:
-                # The end-of-array check sits at the loop top, mirroring the
-                # generator loop's cap check / StopIteration: a thread whose
-                # batch broke on the horizon right at its last op re-enters
-                # the heap and finishes on its *next* pop, so barrier-group
-                # bookkeeping happens in the same order in both modes.
-                if i >= end:
-                    finished = True
-                    break
-                kind = kinds[i]
-                if kind == KIND_LOAD:
-                    do_load(a0[i], bool(a1[i]))
-                elif kind == KIND_PEI:
-                    chain = a3[i]
-                    execute(core, op_table[a1[i]], a0[i], bool(a2[i]),
-                            chain - 1 if chain else None)
-                elif kind == KIND_COMPUTE:
-                    do_compute(a0[i])
-                elif kind == KIND_STORE:
-                    do_store(a0[i])
-                elif kind == KIND_FENCE:
-                    fence(core)
-                elif kind == KIND_BARRIER:
-                    group = a0[i]
-                    i += 1
-                    barrier_arrived[group].append(tid)
-                    parked_count += 1
-                    parked = True
-                    if len(barrier_arrived[group]) == group_active[group]:
-                        release_group(group)
-                    break
-                else:
-                    raise ValueError(f"unknown operation kind {kind}")
-                i += 1
-                if core.time > horizon:
-                    break
-            indices[tid] = i
-            if finished:
-                finish_thread(tid)
-            elif not parked:
-                heappush(heap, (core.time, tid))
-            if telemetry is not None and heap:
-                telemetry.on_progress(machine, heap[0][0])
-
-        if parked_count:
-            raise RuntimeError(
-                "barrier deadlock: threads still parked when the run drained"
-            )
-
-        for core in cores:
-            core.drain()
-        return self._collect(trace.workload_name, trace.footprint,
-                             n_threads, effective_cap)
+        except ImportError as exc:
+            raise TraceError(
+                f"trace replay needs numpy ({exc}); run the live workload "
+                f"with System.run(workload) instead") from exc
+        plan_before = columnar.plan_cache_counters()
+        result = columnar.replay(self, trace, op_table, n_threads,
+                                 batch_window, warm_start, effective_cap)
+        # Transient (underscore-prefixed, dropped by to_dict): whether this
+        # run's ColumnPlan was cached depends on what the process replayed
+        # before, so the delta is scheduling observability, never part of
+        # the result proper.
+        plan_after = columnar.plan_cache_counters()
+        result.metadata["_plan_cache"] = {
+            key: plan_after[key] - plan_before[key] for key in plan_after}
+        return result
 
     # ------------------------------------------------------------------
 

@@ -1,8 +1,9 @@
 """simflow: project model, flow passes, waivers, baseline, mutants.
 
 Pass-behavior tests build small synthetic trees in ``tmp_path`` (the
-purity pass keys off the ``system/system.py:System._run_trace`` anchor,
-which a synthetic tree can provide under the same relative path).
+purity pass keys off the ``system/system.py:System.run`` and
+``system/columnar.py:_replay_loop`` anchors, which a synthetic tree can
+provide under the same relative paths).
 Model-precision and cleanliness tests run against the real ``src/repro``
 tree — the analyzer's reason to exist is that tree, and its call-graph
 precision claims (the hot set excludes the functional/bench world) are
@@ -24,7 +25,7 @@ from repro.analysis.flow import (
 )
 from repro.analysis.flow.engine import HYGIENE_CODE
 from repro.analysis.flow.model import ProjectModel
-from repro.analysis.flow.purity import hot_set
+from repro.analysis.flow.purity import hot_set, missing_anchors
 from repro.analysis.source import parse_project, parse_waivers
 
 REPO_SRC = Path(__file__).resolve().parents[2] / "src" / "repro"
@@ -38,10 +39,18 @@ def write_tree(tmp_path, files):
     return tmp_path
 
 
+#: The columnar engine anchor, impurity-free.
+COLUMNAR_ANCHOR = (
+    "def _replay_loop(system):\n"
+    "    while True:\n"
+    "        pass\n"
+)
+
 PURITY_TREE = {
+    "system/columnar.py": COLUMNAR_ANCHOR,
     "system/system.py": (
         "class System:\n"                       # 1
-        "    def _run_trace(self):\n"           # 2
+        "    def run(self):\n"                  # 2
         "        while True:\n"                 # 3
         "            self.step()\n"             # 4
         "        self._collect()\n"             # 5
@@ -85,6 +94,14 @@ class TestRealTree:
         assert "core/executor.py:PeiExecutor._execute" in hot
         assert "cpu/core.py:CoreModel.do_load" in hot
         assert "cache/hierarchy.py:CacheHierarchy.flush_block" in hot
+        # The columnar loop's callees, resolved through its annotated
+        # ``system`` parameter (not by name into verify/'s golden model).
+        assert "core/executor.py:PeiExecutor._execute_pei" in hot
+        assert "cache/hierarchy.py:CacheHierarchy.access" in hot
+        assert "core/executor.py:PeiExecutor.fence" in hot
+
+    def test_every_engine_anchor_resolves(self, model):
+        assert missing_anchors(model) == []
 
     def test_hot_set_excludes_functional_and_bench_world(self, model):
         """The precision claim: replay never re-runs workload generation,
@@ -153,7 +170,7 @@ class TestPurityPass:
 
     def test_once_per_run_work_is_not_hot(self, tmp_path):
         """_collect sits outside every while loop: its dict display is
-        outside the hot set even though _run_trace calls it."""
+        outside the hot set even though System.run calls it."""
         write_tree(tmp_path, PURITY_TREE)
         report = run_flow([tmp_path], select=["FLW008"])
         assert [f.line for f in report.findings] == [8]  # the set display only
@@ -168,6 +185,28 @@ class TestPurityPass:
         write_tree(tmp_path, PURITY_TREE)
         report = run_flow([tmp_path], select=["FLW009"])
         assert codes_of(report) == ["FLW009"]
+
+    def test_missing_anchor_is_reported(self, tmp_path):
+        """Deleting one engine loop must not silently shrink the hot set:
+        the missing anchor reports, the remaining anchor still roots."""
+        tree = dict(PURITY_TREE)
+        del tree["system/columnar.py"]
+        write_tree(tmp_path, tree)
+        report = run_flow([tmp_path])
+        assert codes_of(report) == [HYGIENE_CODE, "FLW007", "FLW008",
+                                    "FLW009"]
+        hygiene = report.findings[0]
+        assert "system/columnar.py:_replay_loop" in hygiene.message
+        assert hygiene.rel == "system/system.py"
+
+    def test_renamed_anchor_is_reported_under_select(self, tmp_path):
+        tree = dict(PURITY_TREE)
+        tree["system/system.py"] = tree["system/system.py"].replace(
+            "    def run(self):\n", "    def go(self):\n")
+        write_tree(tmp_path, tree)
+        report = run_flow([tmp_path], select=["FLW009"])
+        assert codes_of(report) == [HYGIENE_CODE]
+        assert "system/system.py:System.run" in report.findings[0].message
 
 
 # ----------------------------------------------------------------------
@@ -232,9 +271,10 @@ class TestWaiverSpans:
     def test_pragma_inside_multiline_call_suppresses_first_line(self, tmp_path):
         """The finding reports at the call's first line; a pragma on a later
         physical line of the same statement must still match."""
-        write_tree(tmp_path, {"system/system.py": (
+        write_tree(tmp_path, {"system/columnar.py": COLUMNAR_ANCHOR,
+                              "system/system.py": (
             "class System:\n"
-            "    def _run_trace(self):\n"
+            "    def run(self):\n"
             "        while True:\n"
             "            self.step()\n"
             "\n"

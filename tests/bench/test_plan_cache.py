@@ -30,9 +30,9 @@ def restore_plan_cache():
 
 
 def captured_trace(n_values=2000, max_ops=300, seed=7):
-    # The explicit key matters: the trace fingerprint keys the plan cache,
-    # and without it capture_trace falls back to workload-name identity —
-    # every capture here would share one plan-cache entry.
+    # The explicit key is digested into the trace fingerprint (which keys
+    # the plan cache), so each seed gets its own entry even if two seeds
+    # happened to produce identical streams.
     config = tiny_config()
     workload = make_workload("HG", "small", seed=seed, n_values=n_values)
     return capture_trace(workload, n_threads=config.n_cores,
@@ -43,7 +43,7 @@ def captured_trace(n_values=2000, max_ops=300, seed=7):
 
 
 def replay(trace, policy=DispatchPolicy.HOST_ONLY):
-    return System(tiny_config(), policy).run(trace, engine="columnar")
+    return System(tiny_config(), policy).run(trace)
 
 
 class TestCounters:
@@ -111,16 +111,28 @@ class TestLimit:
         narrow = [replay(t).to_dict() for t in traces + traces]
         assert wide == narrow
 
-    def test_policies_sharing_monitorless_plan_key(self):
-        """HOST_ONLY and PIM_ONLY replay the same compiled plan."""
+    def test_four_policies_compile_one_plan(self):
+        """One plan per trace: the paper's four policies share it, and each
+        replay matches its generator run bit-for-bit.
+
+        Locality-Aware replays twice: the first run fills the warm
+        template's monitor part (the policies before it never touch the
+        monitor), the second applies it.
+        """
         trace = captured_trace()
+        policies = (DispatchPolicy.HOST_ONLY, DispatchPolicy.PIM_ONLY,
+                    DispatchPolicy.LOCALITY_AWARE, DispatchPolicy.IDEAL_HOST,
+                    DispatchPolicy.LOCALITY_AWARE)
         columnar._PLAN_CACHE.clear()
         before = columnar.plan_cache_counters()
-        replay(trace, DispatchPolicy.HOST_ONLY)
-        replay(trace, DispatchPolicy.PIM_ONLY)
+        for policy in policies:
+            generated = System(tiny_config(), policy).run(
+                make_workload("HG", "small", seed=7, n_values=2000),
+                max_ops_per_thread=300)
+            assert replay(trace, policy).to_dict() == generated.to_dict()
         after = columnar.plan_cache_counters()
         assert after["misses"] - before["misses"] == 1
-        assert after["hits"] - before["hits"] == 1
+        assert after["hits"] - before["hits"] == len(policies) - 1
 
 
 class TestSettings:

@@ -79,11 +79,6 @@ class TestSettings:
         monkeypatch.setenv("REPRO_BENCH_SEED", "9")
         assert runner.current_settings().seed == 9
 
-    def test_settings_attribute_deprecated(self):
-        with pytest.deprecated_call(match="current_settings"):
-            snapshot = runner.SETTINGS
-        assert snapshot == runner.current_settings()
-
     def test_unknown_attribute_still_raises(self):
         with pytest.raises(AttributeError):
             runner.NO_SUCH_NAME

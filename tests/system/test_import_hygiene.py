@@ -2,8 +2,8 @@
 
 The flow/race CI jobs run the analysis tooling in a numpy-less
 environment and rely on ``repro.analysis``/``repro.verify`` being pure
-stdlib; ``repro.system.columnar`` (which imports numpy eagerly when
-available) must only load when trace replay actually dispatches to it.
+stdlib; ``repro.system.columnar`` (which imports numpy eagerly) must
+only load when a trace actually replays.
 A subprocess gives each check a clean interpreter: this test would pass
 vacuously in-process once any earlier test imported numpy.
 """
@@ -61,8 +61,9 @@ def test_columnar_loads_only_on_trace_replay():
     assert "columnar off generator path OK" in proc.stdout
 
 
-def test_columnar_degrades_gracefully_without_numpy():
-    """Trace replay in a numpy-less environment falls back to scalar."""
+def test_trace_replay_without_numpy_raises_trace_error():
+    """Trace replay in a numpy-less environment fails loudly, never by
+    silently switching to another engine."""
     proc = run_python("""
         import sys
 
@@ -77,13 +78,16 @@ def test_columnar_degrades_gracefully_without_numpy():
         # registry workloads draw their data through numpy and cannot even
         # capture in a numpy-less environment.
         from repro.bench.microbench import capture_engine_trace
+        from repro.cpu.trace import TraceError
         from repro.system.config import tiny_config
         from repro.system.system import System
 
         trace = capture_engine_trace(n_ops=500)
-        result = System(tiny_config()).run(trace)
-        assert result.instructions > 0
-        print("scalar fallback OK")
+        try:
+            System(tiny_config()).run(trace)
+        except TraceError as exc:
+            assert "System.run(workload)" in str(exc), exc
+            print("numpy-less replay raises OK")
     """)
     assert proc.returncode == 0, proc.stderr
-    assert "scalar fallback OK" in proc.stdout
+    assert "numpy-less replay raises OK" in proc.stdout
